@@ -121,12 +121,15 @@ type FTL struct {
 	probe  sim.Probe
 	health *nand.Health // nil = immortal device, zero-cost fast path
 
-	planes  []plane
-	mapping map[Key]int64 // logical page -> PPN
+	planes []plane
 
-	channels map[int][]int    // tenant -> channel set; nil entry = all channels
-	modes    map[int]PageMode // tenant -> page allocation mode
-	rr       []int            // per-die round-robin plane cursor
+	// Per-tenant bindings and page tables (table.go).
+	tenants     []*tenantState // indexed by tenant+1; nil = never seen
+	far         []*tenantState // tenants at or above maxDenseTenant, sorted by id
+	mapped      int            // mapped logical pages
+	allChannels []int          // shared read-only set of unbound tenants
+
+	rr []int // per-die round-robin plane cursor
 
 	gcLowWater int // free blocks per plane that triggers GC
 
@@ -143,6 +146,10 @@ type FTL struct {
 
 	// cmt is the optional cached mapping table (nil = unlimited SRAM).
 	cmt *CMT
+
+	// rebuild is FailDie's scratch list of the pages to rebuild, in
+	// (tenant, LPN) order.
+	rebuild []Key
 
 	// plan is the scratch GC plan collect returns. Callers consume the plan
 	// synchronously (the device charges its DieTime before the next mapping
@@ -164,28 +171,29 @@ func New(cfg nand.Config, load Load) (*FTL, error) {
 		low = 1
 	}
 	f := &FTL{
-		cfg:        cfg,
-		load:       load,
-		probe:      sim.NopProbe{},
-		planes:     make([]plane, cfg.TotalPlanes()),
-		mapping:    make(map[Key]int64),
-		channels:   make(map[int][]int),
-		modes:      make(map[int]PageMode),
-		rr:         make([]int, cfg.TotalDies()),
-		gcLowWater: low,
+		cfg:         cfg,
+		load:        load,
+		probe:       sim.NopProbe{},
+		planes:      make([]plane, cfg.TotalPlanes()),
+		allChannels: make([]int, cfg.Channels),
+		rr:          make([]int, cfg.TotalDies()),
+		gcLowWater:  low,
 	}
 	for i := range f.planes {
 		f.planes[i].active = -1
+	}
+	for i := range f.allChannels {
+		f.allChannels[i] = i
 	}
 	return f, nil
 }
 
 // Reset restores the FTL to its factory-fresh state — no mappings, no
 // tenant bindings, every block erased-and-never-used with zero wear — while
-// keeping all materialized block storage, maps, and slices for reuse. An
-// enabled CMT is emptied but stays enabled. A reset FTL behaves identically
-// to one just built by New over the same geometry; only the allocation
-// pattern differs. Run loops (internal/simrun) use it to rebuild a device
+// keeping all materialized block storage, page-table chunks, and slices for
+// reuse. An enabled CMT is emptied but stays enabled. A reset FTL behaves
+// identically to one just built by New over the same geometry; only the
+// allocation pattern differs. Run loops (internal/simrun) use it to rebuild a device
 // per session without re-materializing plane state.
 func (f *FTL) Reset() {
 	for i := range f.planes {
@@ -205,9 +213,7 @@ func (f *FTL) Reset() {
 		p.active = -1
 		p.full = p.full[:0]
 	}
-	clear(f.mapping)
-	clear(f.channels)
-	clear(f.modes)
+	f.resetTenants()
 	clear(f.rr)
 	f.writes = 0
 	f.preloads = 0
@@ -256,60 +262,76 @@ func (f *FTL) SetTenantChannels(tenant int, channels []int) error {
 		}
 	}
 	if len(channels) == 0 {
-		delete(f.channels, tenant) // back to all channels
+		if t := f.tenant(tenant); t != nil {
+			t.channels = nil // back to all channels
+		}
 		return nil
 	}
-	f.channels[tenant] = append([]int(nil), channels...)
+	f.tenantFor(tenant).channels = append([]int(nil), channels...)
 	return nil
 }
 
 // SetTenantMode sets the page allocation mode for a tenant's writes.
 func (f *FTL) SetTenantMode(tenant int, mode PageMode) {
-	f.modes[tenant] = mode
+	f.tenantFor(tenant).mode = mode
 }
 
 // TenantChannels returns the channel set for a tenant (all channels if
-// unset).
+// unset). The slice is shared with the FTL and must not be modified.
 func (f *FTL) TenantChannels(tenant int) []int {
-	if set, ok := f.channels[tenant]; ok {
-		return set
+	return f.channelSet(f.tenant(tenant))
+}
+
+// channelSet returns t's channel set; t may be nil (an unseen tenant).
+func (f *FTL) channelSet(t *tenantState) []int {
+	if t == nil || t.channels == nil {
+		return f.allChannels
 	}
-	all := make([]int, f.cfg.Channels)
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return t.channels
 }
 
 // TenantMode returns the page allocation mode for a tenant (static if
 // unset).
-func (f *FTL) TenantMode(tenant int) PageMode { return f.modes[tenant] }
+func (f *FTL) TenantMode(tenant int) PageMode {
+	if t := f.tenant(tenant); t != nil {
+		return t.mode
+	}
+	return StaticAlloc
+}
 
 // Lookup returns the physical address of a logical page, if mapped.
 func (f *FTL) Lookup(k Key) (nand.Addr, bool) {
-	ppn, ok := f.mapping[k]
+	t := f.tenant(k.Tenant)
+	if t == nil {
+		return nand.Addr{}, false
+	}
+	ppn, ok := t.get(k.LPN)
 	if !ok {
 		return nand.Addr{}, false
 	}
 	return f.cfg.AddrOf(ppn), true
 }
 
-// PredictDie returns, without mutating any state, the flat die index an
-// operation on k would target: the mapped location for existing data, or
-// the tenant's placement rule for new writes and preload reads. Dynamic-
-// allocation targets cannot be known in advance (they depend on load at the
-// instant of the write), so those return ok=false. Conflict-aware host
-// schedulers use this to steer dispatch away from busy dies.
+// PredictDie returns, without changing any mapping or allocation state, the
+// flat die index an operation on k would target: the mapped location for
+// existing data, or the tenant's placement rule for new writes and preload
+// reads. Dynamic-allocation targets cannot be known in advance (they depend
+// on load at the instant of the write), so those return ok=false.
+// Conflict-aware host schedulers use this to steer dispatch away from busy
+// dies.
 func (f *FTL) PredictDie(k Key, isWrite bool) (die int, ok bool) {
-	if a, mapped := f.Lookup(k); mapped && !isWrite {
-		return f.cfg.DieID(a), true
-	}
-	if isWrite && f.TenantMode(k.Tenant) == DynamicAlloc {
-		return 0, false
+	t := f.tenant(k.Tenant)
+	if t != nil {
+		if isWrite && t.mode == DynamicAlloc {
+			return 0, false
+		}
+		if ppn, mapped := t.get(k.LPN); mapped && !isWrite {
+			return f.cfg.DieID(f.cfg.AddrOf(ppn)), true
+		}
 	}
 	// Static placement is a pure function of the LPN and channel set
 	// (and, on a degraded device, of which dies are live).
-	set := f.TenantChannels(k.Tenant)
+	set := f.channelSet(t)
 	l := k.LPN
 	ch := set[int(l%int64(len(set)))]
 	l /= int64(len(set))
@@ -330,10 +352,11 @@ func (f *FTL) PredictDie(k Key, isWrite bool) (die int, ok bool) {
 // resident data was written with the tenant's striping. No program time is
 // charged for preloads.
 func (f *FTL) MapRead(k Key) (nand.Addr, error) {
-	if a, ok := f.Lookup(k); ok {
-		return a, nil
+	t := f.tenantFor(k.Tenant)
+	if ppn, ok := t.get(k.LPN); ok {
+		return f.cfg.AddrOf(ppn), nil
 	}
-	a, _, err := f.place(k, StaticAlloc)
+	a, _, err := f.place(t, k, StaticAlloc)
 	if err != nil {
 		return nand.Addr{}, err
 	}
@@ -346,11 +369,11 @@ func (f *FTL) MapRead(k Key) (nand.Addr, error) {
 // the caller must account for (the FTL metadata effects of the plan are
 // already applied; the caller charges its time on the die).
 func (f *FTL) MapWrite(k Key) (nand.Addr, *GCPlan, error) {
-	mode := f.TenantMode(k.Tenant)
-	if old, ok := f.mapping[k]; ok {
+	t := f.tenantFor(k.Tenant)
+	if old, ok := t.get(k.LPN); ok {
 		f.invalidate(old)
 	}
-	a, gc, err := f.place(k, mode)
+	a, gc, err := f.place(t, k, t.mode)
 	if err != nil {
 		return nand.Addr{}, nil, err
 	}
@@ -359,10 +382,10 @@ func (f *FTL) MapWrite(k Key) (nand.Addr, *GCPlan, error) {
 }
 
 // place picks a plane according to mode, appends the page to the plane's
-// active block, updates the mapping, and runs GC if the plane is low on free
-// blocks.
-func (f *FTL) place(k Key, mode PageMode) (nand.Addr, *GCPlan, error) {
-	set := f.TenantChannels(k.Tenant)
+// active block, updates the mapping of k (owned by t), and runs GC if the
+// plane is low on free blocks.
+func (f *FTL) place(t *tenantState, k Key, mode PageMode) (nand.Addr, *GCPlan, error) {
+	set := f.channelSet(t)
 	var ch, dieInCh, pl int
 	switch mode {
 	case StaticAlloc:
@@ -436,7 +459,7 @@ func (f *FTL) place(k Key, mode PageMode) (nand.Addr, *GCPlan, error) {
 	}
 	base.Block = blockID
 	base.Page = page
-	f.mapping[k] = f.cfg.PPN(base)
+	f.setPPN(t, k.LPN, f.cfg.PPN(base))
 
 	var gc *GCPlan
 	if f.planes[planeID].freeBlocks(f.cfg.BlocksPerPlane) <= f.gcLowWater {
@@ -571,6 +594,6 @@ func (f *FTL) Counters() Counters {
 		GCErases:      f.gcErases,
 		WLRuns:        f.wlRuns,
 		WLMovedPages:  f.wlMoved,
-		Mapped:        len(f.mapping),
+		Mapped:        f.mapped,
 	}
 }

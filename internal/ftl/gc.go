@@ -46,9 +46,7 @@ func (f *FTL) collect(planeID int) *GCPlan {
 		if !victim.valid[page] {
 			continue
 		}
-		k := Key{Tenant: victim.owners[page].tenant, LPN: victim.owners[page].lpn}
-		blockID, newPage, err := f.appendPage(planeID, k)
-		if err != nil {
+		if err := f.relocate(planeID, victim, page); err != nil {
 			// The plane ran out of space mid-move. The victim still
 			// holds valid data, so it must NOT be erased; put it
 			// back in the candidate list and report only the moves
@@ -56,13 +54,6 @@ func (f *FTL) collect(planeID int) *GCPlan {
 			aborted = true
 			break
 		}
-		addr := f.cfg.PlaneAddr(planeID)
-		addr.Block = blockID
-		addr.Page = newPage
-		f.mapping[k] = f.cfg.PPN(addr)
-		victim.valid[page] = false
-		victim.owners[page] = owner{}
-		victim.validCount--
 		moved++
 	}
 
@@ -102,6 +93,26 @@ func (f *FTL) collect(planeID int) *GCPlan {
 		DieTime:    dieTime,
 	}
 	return &f.plan
+}
+
+// relocate moves the valid page of victim into the plane's write stream and
+// repoints its owner's mapping there. Cold pages are inserted into the page
+// table like any other: once moved, they are mapped.
+func (f *FTL) relocate(planeID int, victim *block, page int) error {
+	o := victim.owners[page]
+	k := Key{Tenant: o.tenant, LPN: o.lpn}
+	blockID, newPage, err := f.appendPage(planeID, k)
+	if err != nil {
+		return err
+	}
+	addr := f.cfg.PlaneAddr(planeID)
+	addr.Block = blockID
+	addr.Page = newPage
+	f.setPPN(f.tenantFor(o.tenant), o.lpn, f.cfg.PPN(addr))
+	victim.valid[page] = false
+	victim.owners[page] = owner{}
+	victim.validCount--
+	return nil
 }
 
 // eraseBlock resets a block and returns it to the plane's recycled pool.

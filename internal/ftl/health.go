@@ -1,8 +1,6 @@
 package ftl
 
 import (
-	"sort"
-
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/sim"
 )
@@ -69,9 +67,9 @@ func (f *FTL) redirect(set []int, ch, dieInCh int) (newCh, newDie int, live bool
 // FailDie kills a device-wide die: the die is marked dead in the health
 // state, and every valid logical page mapped to it is rebuilt onto live dies
 // through the owning tenant's normal placement path (so the rebuild respects
-// channel allocations and triggers GC where it must). Rebuild order is
-// sorted by (tenant, LPN) so the relocation — and therefore every subsequent
-// allocation decision — is deterministic despite map iteration.
+// channel allocations and triggers GC where it must). Rebuild order is the
+// page table's (tenant, LPN) walk order, so the relocation — and therefore
+// every subsequent allocation decision — is deterministic.
 //
 // Returns the number of pages rebuilt and the per-destination-die time the
 // rebuild occupies (program per page, plus any GC the rebuild triggered);
@@ -84,24 +82,20 @@ func (f *FTL) FailDie(die int) (rebuilt int, perDie []sim.Time) {
 	}
 	f.health.FailDie(die)
 
-	var keys []Key
-	for k, ppn := range f.mapping {
+	f.rebuild = f.rebuild[:0]
+	f.eachMapping(func(k Key, ppn int64) {
 		if f.cfg.DieID(f.cfg.AddrOf(ppn)) == die {
-			keys = append(keys, k)
+			f.rebuild = append(f.rebuild, k)
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Tenant != keys[j].Tenant {
-			return keys[i].Tenant < keys[j].Tenant
-		}
-		return keys[i].LPN < keys[j].LPN
 	})
 
 	perDie = make([]sim.Time, f.cfg.TotalDies())
 	pageTime := f.cfg.ReadLatency + f.cfg.WriteLatency
-	for _, k := range keys {
-		f.invalidate(f.mapping[k])
-		a, gc, err := f.place(k, f.TenantMode(k.Tenant))
+	for _, k := range f.rebuild {
+		t := f.tenant(k.Tenant)
+		ppn, _ := t.get(k.LPN)
+		f.invalidate(ppn)
+		a, gc, err := f.place(t, k, t.mode)
 		if err != nil {
 			break
 		}
@@ -157,18 +151,9 @@ func (f *FTL) RetireBlock(planeID, blockID int) (moved int, dieTime sim.Time) {
 		if !victim.valid[page] {
 			continue
 		}
-		k := Key{Tenant: victim.owners[page].tenant, LPN: victim.owners[page].lpn}
-		newBlock, newPage, err := f.appendPage(planeID, k)
-		if err != nil {
+		if err := f.relocate(planeID, victim, page); err != nil {
 			break
 		}
-		addr := f.cfg.PlaneAddr(planeID)
-		addr.Block = newBlock
-		addr.Page = newPage
-		f.mapping[k] = f.cfg.PPN(addr)
-		victim.valid[page] = false
-		victim.owners[page] = owner{}
-		victim.validCount--
 		moved++
 	}
 	dieTime = sim.Time(moved) * (f.cfg.ReadLatency + f.cfg.WriteLatency)

@@ -4,12 +4,15 @@
 #
 # Part 1 runs the two root hot-path benchmarks (BenchmarkSimulatorThroughput
 # and BenchmarkDatasetGeneration, both at QuickScale) with -benchmem, parses
-# the output, and writes machine-readable before/after numbers to
-# BENCH_simcore.json at the repo root. The "baseline" block is the seed tree
-# measured immediately before the allocation-free event core landed (commit
-# 3c74399, benchtime=2s, Intel Xeon @ 2.70GHz); the "after" block is whatever
-# tree the script runs on. CI runs this non-blockingly so the numbers stay
-# visible without shared-runner noise failing the build.
+# the output, and appends one entry to the "trajectory" array of
+# BENCH_simcore.json at the repo root: {commit, nproc, cpu, benchtime,
+# SimulatorThroughput, DatasetGeneration}. Earlier entries and the
+# "baseline" block — the seed tree measured immediately before the
+# allocation-free event core landed (commit 3c74399, benchtime=2s, Intel
+# Xeon @ 2.70GHz) — are never rewritten. The commit is
+# `git describe --always --dirty`, so numbers taken on an uncommitted tree
+# say so. CI runs this non-blockingly so the numbers stay visible without
+# shared-runner noise failing the build.
 #
 # Part 2 benchmarks the serving daemon end to end: it trains one quick model,
 # then for each shard count in SHARD_SWEEP boots ssdkeeperd with that -shards,
@@ -96,23 +99,28 @@ cpu=$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || t
 thr=$(json_field BenchmarkSimulatorThroughput)
 gen=$(json_field BenchmarkDatasetGeneration)
 
-cat > "$OUT" <<EOF
+if [ ! -s "$OUT" ]; then
+  cat > "$OUT" <<EOF
 {
-  "benchtime": "$BENCHTIME",
-  "cpu": "${cpu:-unknown}",
   "baseline": {
     "commit": "3c74399",
     "note": "seed tree before the allocation-free event core (benchtime=2s)",
     "SimulatorThroughput": {"ns_op": 30373374, "bytes_op": 8435243, "allocs_op": 138728, "requests_per_s": 164618},
     "DatasetGeneration": {"ns_op": 388885978, "bytes_op": 141203259, "allocs_op": 1219674}
   },
-  "after": {
-    "SimulatorThroughput": $thr,
-    "DatasetGeneration": $gen
-  }
+  "trajectory": []
 }
 EOF
-echo "wrote $OUT" >&2
+fi
+jq \
+  --arg commit "$(git describe --always --dirty 2>/dev/null || echo unknown)" \
+  --argjson nproc "$(nproc)" --arg cpu "${cpu:-unknown}" --arg bt "$BENCHTIME" \
+  --argjson thr "$thr" --argjson gen "$gen" \
+  '.trajectory += [{commit: $commit, nproc: $nproc, cpu: $cpu, benchtime: $bt,
+     SimulatorThroughput: $thr, DatasetGeneration: $gen}]' \
+  "$OUT" > "$OUT.tmp"
+mv "$OUT.tmp" "$OUT"
+echo "appended $(jq -r '.trajectory[-1].commit' "$OUT") to the trajectory in $OUT" >&2
 
 # ---- Part 5: device-health cost -> health block in BENCH_simcore.json -----
 # BenchmarkSimulatorHealth runs the Part 1 throughput workload immortal,

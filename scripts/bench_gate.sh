@@ -31,6 +31,11 @@
 #      (default 1.02). This pins the tentpole property that a device with
 #      fault support compiled in and armed, but no faults injected, costs
 #      at most 2% over the pre-health simulator path.
+#   6. FTL page table: BenchmarkFTLMapWrite (four bound tenants overwriting
+#      their spaces on a seasoned device, so GC relocates) must report
+#      0 allocs/op, and its ns/op joins the Gate 3 baseline check. The
+#      per-tenant chunked page table keeps the simulator's per-page path
+#      free of map hashing and allocation.
 #
 # BENCH_GATE_INJECT=<mult> multiplies the measured int8/batch64 ns/op (demo
 # knob: BENCH_GATE_INJECT=2 shows the gate failing on a 2x slowdown without
@@ -57,6 +62,8 @@ go test -run '^$' -bench 'BenchmarkWire(Encode|Parse)(Request|Reply)$' -benchmem
   -benchtime "$BENCHTIME" -cpu 1 ./internal/wire/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkProxyTransport$' -benchmem -benchtime "$BENCHTIME" \
   ./internal/fleet/ | tee -a "$RAW" >&2
+go test -run '^$' -bench 'BenchmarkFTLMapWrite$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
+  ./internal/ftl/ | tee -a "$RAW" >&2
 
 # ns <benchmark-substring>: ns/op of the first matching result line.
 ns() {
@@ -77,8 +84,9 @@ wire_enc_req=$(ns "BenchmarkWireEncodeRequest")
 wire_par_req=$(ns "BenchmarkWireParseRequest")
 wire_enc_rep=$(ns "BenchmarkWireEncodeReply")
 wire_par_rep=$(ns "BenchmarkWireParseReply")
+ftl_write=$(ns "BenchmarkFTLMapWrite")
 for v in "$f64_call" "$int8_batch" "$decode_ns" "$render_ns" \
-  "$wire_enc_req" "$wire_par_req" "$wire_enc_rep" "$wire_par_rep"; do
+  "$wire_enc_req" "$wire_par_req" "$wire_enc_rep" "$wire_par_rep" "$ftl_write"; do
   if [ -z "$v" ]; then
     echo "bench_gate: FAIL - missing benchmark result" >&2
     exit 1
@@ -172,6 +180,15 @@ else
   echo "bench_gate: ok - armed-over-nofault median ${hratio}x <= ${HEALTH_OVERHEAD}x" >&2
 fi
 
+# Gate 6: zero-allocation FTL mapping path (GC relocation included).
+got=$(allocs "BenchmarkFTLMapWrite")
+if [ "${got:-1}" != "0" ]; then
+  echo "bench_gate: FAIL - BenchmarkFTLMapWrite reports ${got:-?} allocs/op, want 0" >&2
+  fail=1
+else
+  echo "bench_gate: ok - BenchmarkFTLMapWrite 0 allocs/op" >&2
+fi
+
 # Gate 3: absolute ns/op vs the committed baseline, scaled by the factor.
 for pair in \
   "BenchmarkPredict/float64/call:$f64_call" \
@@ -181,7 +198,8 @@ for pair in \
   "BenchmarkWireEncodeRequest:$wire_enc_req" \
   "BenchmarkWireParseRequest:$wire_par_req" \
   "BenchmarkWireEncodeReply:$wire_enc_rep" \
-  "BenchmarkWireParseReply:$wire_par_rep"; do
+  "BenchmarkWireParseReply:$wire_par_rep" \
+  "BenchmarkFTLMapWrite:$ftl_write"; do
   name="${pair%:*}"; got="${pair##*:}"
   base=$(jq -r --arg k "$name" '.ns_op[$k] // empty' "$BASELINE")
   if [ -z "$base" ]; then

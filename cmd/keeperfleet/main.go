@@ -8,13 +8,18 @@
 //
 // Endpoints: /io and /io/batch (proxied data plane), /fleet/status (JSON
 // placement), POST /fleet/migrate?tenant=N&to=URL (manual migration),
-// /metrics (fleet series), /healthz, /readyz.
+// /metrics (fleet series), /healthz, /readyz; with -wire-listen, the wire
+// protocol as a second client front. The router reaches nodes' data plane
+// over wire only (-wire-nodes, positional with -nodes) and their HTTP
+// control plane (drain, handoff, release, metrics) over -nodes.
 //
 // Usage:
 //
-//	keeperfleet -addr :8090 -nodes http://localhost:8081,http://localhost:8082,http://localhost:8083
-//	keeperfleet -addr :8090 -nodes ... -rebalance          # auto-migrate hot tenants
-//	keeperfleet -addr :8090 -nodes ... -gate-policy reject # 503+Retry-After during handoffs
+//	keeperfleet -addr :8090 -nodes http://localhost:8081,http://localhost:8082 \
+//	  -wire-nodes localhost:9081,localhost:9082
+//	keeperfleet -addr :8090 -nodes ... -wire-nodes ... -wire-listen :9090         # also serve wire clients
+//	keeperfleet -addr :8090 -nodes ... -wire-nodes ... -rebalance                 # auto-migrate hot tenants
+//	keeperfleet -addr :8090 -nodes ... -wire-nodes ... -gate-policy reject        # 503+Retry-After during handoffs
 package main
 
 import (
@@ -37,8 +42,8 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8090", "router listen address")
-		nodes      = flag.String("nodes", "", "comma-separated node base URLs (required)")
-		wireNodes  = flag.String("wire-nodes", "", "comma-separated wire (host:port) addresses, parallel to -nodes; empty entries keep that node on HTTP. Enables the persistent framed data plane")
+		nodes      = flag.String("nodes", "", "comma-separated node base URLs (required; the control plane)")
+		wireNodes  = flag.String("wire-nodes", "", "comma-separated node wire (host:port) addresses, one per -nodes entry in the same order (required; the data plane)")
 		wireConns  = flag.Int("wire-conns", 4, "persistent wire connections per node")
 		wireListen = flag.String("wire-listen", "", "also serve the wire protocol to clients on this address (full wire path: client → router → node)")
 		vnodes     = flag.Int("vnodes", 64, "virtual nodes per node on the ring")
@@ -55,16 +60,16 @@ func main() {
 	)
 	flag.Parse()
 
-	list := splitNodes(*nodes)
-	if len(list) == 0 {
-		fatal(fmt.Errorf("need -nodes (comma-separated base URLs)"))
+	list, err := splitList("nodes", *nodes)
+	if err != nil {
+		fatal(err)
 	}
-	var wireList []string
-	if *wireNodes != "" {
-		wireList = splitWireNodes(*wireNodes)
-		if len(wireList) != len(list) {
-			fatal(fmt.Errorf("-wire-nodes has %d entries for %d nodes", len(wireList), len(list)))
-		}
+	wireList, err := splitList("wire-nodes", *wireNodes)
+	if err != nil {
+		fatal(err)
+	}
+	if len(wireList) != len(list) {
+		fatal(fmt.Errorf("-wire-nodes has %d entries for %d nodes", len(wireList), len(list)))
 	}
 
 	router, err := fleet.NewRouter(fleet.Config{
@@ -120,8 +125,8 @@ func main() {
 		}()
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "keeperfleet: routing %d tenants over %d nodes on %s (gate %s, rebalance %v, wire nodes %d)\n",
-			*tenants, len(list), *addr, *gatePolicy, *rebalance, len(wireList))
+		fmt.Fprintf(os.Stderr, "keeperfleet: routing %d tenants over %d nodes on %s (gate %s, rebalance %v)\n",
+			*tenants, len(list), *addr, *gatePolicy, *rebalance)
 		if *wireListen != "" {
 			fmt.Fprintf(os.Stderr, "keeperfleet: wire listener on %s\n", *wireListen)
 		}
@@ -148,25 +153,22 @@ func main() {
 	}
 }
 
-func splitNodes(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(p), "/"))
-		if p != "" {
-			out = append(out, p)
-		}
+// splitList splits a comma-separated address flag. Empty entries are
+// refused, not skipped: -nodes and -wire-nodes pair up by position, so a
+// dropped entry would shift every pairing after it.
+func splitList(name, s string) ([]string, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, fmt.Errorf("need -%s (comma-separated addresses)", name)
 	}
-	return out
-}
-
-// splitWireNodes keeps empty entries: position i pairs with -nodes entry i,
-// and an empty slot means that node stays on the HTTP data plane.
-func splitWireNodes(s string) []string {
 	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
+	for i, p := range parts {
+		p = strings.TrimSuffix(strings.TrimSpace(p), "/")
+		if p == "" {
+			return nil, fmt.Errorf("-%s entry %d is empty", name, i+1)
+		}
+		parts[i] = p
 	}
-	return parts
+	return parts, nil
 }
 
 func fatal(err error) {

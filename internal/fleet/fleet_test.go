@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,13 +16,30 @@ import (
 	"ssdkeeper/internal/nand"
 	"ssdkeeper/internal/serve"
 	"ssdkeeper/internal/ssd"
+	"ssdkeeper/internal/wire"
 )
 
 // testNode is one in-process fleet member: a serve node plus its HTTP
-// binding, exactly what a real deployment runs per process.
+// (control plane) and wire (data plane) bindings, exactly what a real
+// deployment runs per process.
 type testNode struct {
-	srv *serve.Server
-	ts  *httptest.Server
+	srv  *serve.Server
+	ts   *httptest.Server
+	wire string // wire listener address
+}
+
+// startWireListener serves the wire protocol for a backend on an ephemeral
+// port and returns the dial address.
+func startWireListener(t *testing.T, b wire.Backend) (*wire.Server, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := wire.NewServer(b)
+	go ws.Serve(ln)
+	t.Cleanup(func() { ws.Close() })
+	return ws, ln.Addr().String()
 }
 
 func startNode(t *testing.T) *testNode {
@@ -35,7 +53,9 @@ func startNode(t *testing.T) *testNode {
 		t.Fatal(err)
 	}
 	s.Start()
-	return &testNode{srv: s, ts: httptest.NewServer(s.Handler(10 * time.Second))}
+	n := &testNode{srv: s, ts: httptest.NewServer(s.Handler(10 * time.Second))}
+	_, n.wire = startWireListener(t, s.Node)
+	return n
 }
 
 func (n *testNode) stop() {
@@ -43,20 +63,28 @@ func (n *testNode) stop() {
 	n.ts.Close()
 }
 
-func startFleet(t *testing.T, nodes int, gatePolicy string) ([]*testNode, *Router) {
+// startFleet boots nodes and a router over them, plus the router's own
+// wire listener (the returned address) beside its HTTP handler.
+func startFleet(t *testing.T, nodes int, gatePolicy string) ([]*testNode, *Router, string) {
 	t.Helper()
 	members := make([]*testNode, nodes)
 	addrs := make([]string, nodes)
+	waddrs := make([]string, nodes)
 	for i := range members {
 		members[i] = startNode(t)
-		addrs[i] = members[i].ts.URL
+		addrs[i], waddrs[i] = members[i].ts.URL, members[i].wire
 		t.Cleanup(members[i].stop)
 	}
-	r, err := NewRouter(Config{Nodes: addrs, GatePolicy: gatePolicy, GateWait: 10 * time.Second})
+	r, err := NewRouter(Config{
+		Nodes: addrs, WireNodes: waddrs,
+		GatePolicy: gatePolicy, GateWait: 10 * time.Second,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return members, r
+	t.Cleanup(r.Close)
+	_, front := startWireListener(t, r.WireBackend())
+	return members, r, front
 }
 
 func postIO(t *testing.T, client *http.Client, base string, tenant int, pageNo int64) (int, string) {
@@ -74,7 +102,7 @@ func postIO(t *testing.T, client *http.Client, base string, tenant int, pageNo i
 // TestRouterProxiesIO: requests reach the owner node and answer 200; the
 // batch path splits by owner and reassembles line order.
 func TestRouterProxiesIO(t *testing.T) {
-	_, router := startFleet(t, 2, GateQueue)
+	_, router, _ := startFleet(t, 2, GateQueue)
 	front := httptest.NewServer(router.Handler())
 	defer front.Close()
 
@@ -119,7 +147,7 @@ func TestRouterProxiesIO(t *testing.T) {
 // TestRouterStatusAndMetrics: the control surface reflects placement and
 // migrations.
 func TestRouterStatusAndMetrics(t *testing.T) {
-	nodes, router := startFleet(t, 2, GateQueue)
+	nodes, router, _ := startFleet(t, 2, GateQueue)
 	front := httptest.NewServer(router.Handler())
 	defer front.Close()
 
@@ -129,6 +157,7 @@ func TestRouterStatusAndMetrics(t *testing.T) {
 	}
 	var st struct {
 		Nodes       []string          `json:"nodes"`
+		WireNodes   map[string]string `json:"wire_nodes"`
 		RingVersion uint64            `json:"ring_version"`
 		Tenants     map[string]string `json:"tenants"`
 	}
@@ -138,6 +167,11 @@ func TestRouterStatusAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	if len(st.Nodes) != 2 || len(st.Tenants) != 4 {
 		t.Fatalf("status: %+v", st)
+	}
+	for _, n := range nodes {
+		if st.WireNodes[n.ts.URL] != n.wire {
+			t.Errorf("status wire_nodes[%s] = %q, want %q", n.ts.URL, st.WireNodes[n.ts.URL], n.wire)
+		}
 	}
 
 	// Migrate tenant 0 to whichever node does not own it, via the admin
@@ -177,24 +211,56 @@ func TestRouterStatusAndMetrics(t *testing.T) {
 }
 
 // TestMigrationUnderLoad is the fleet's zero-loss/zero-duplication
-// guarantee under -race: clients hammer one tenant through the router while
-// that tenant is migrated between nodes (twice — there and back). Every
-// client request must be answered ok — the queue gate hides the handoff —
-// and afterwards the client success count must equal the sum of client
-// completions across all nodes: nothing lost, nothing double-counted.
+// guarantee under -race: clients hammer one tenant through the router's
+// /io and /io/batch while that tenant is migrated between nodes (twice —
+// there and back). Every request and batch line must be answered — the
+// queue gate hides the handoff — and afterwards the client success count
+// must equal the sum of client completions across all nodes: nothing lost,
+// nothing double-counted.
 func TestMigrationUnderLoad(t *testing.T) {
-	nodes, router := startFleet(t, 3, GateQueue)
+	nodes, router, _ := startFleet(t, 3, GateQueue)
 	front := httptest.NewServer(router.Handler())
 	defer front.Close()
 
 	const (
-		tenant  = 1
-		clients = 8
-		perEach = 40
+		tenant   = 1
+		clients  = 8
+		perEach  = 40
+		batches  = 20
+		perBatch = 8
 	)
 	var ok, rejected, failed atomic.Uint64
 	var wg sync.WaitGroup
 	client := &http.Client{Timeout: 20 * time.Second}
+	wg.Add(1)
+	go func() { // one batch client beside the /io clients
+		defer wg.Done()
+		for b := 0; b < batches; b++ {
+			var body strings.Builder
+			for l := 0; l < perBatch; l++ {
+				fmt.Fprintf(&body, "%d R %d 16384\n", tenant, int64((b*perBatch+l)%256)*16384)
+			}
+			resp, err := client.Post(front.URL+"/io/batch", "text/plain", strings.NewReader(body.String()))
+			if err != nil {
+				failed.Add(perBatch)
+				t.Errorf("batch %d: %v", b, err)
+				continue
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			for i, ln := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+				switch {
+				case strings.HasPrefix(ln, "ok "):
+					ok.Add(1)
+				case ln == "rej migrating" || ln == "rej queue_full":
+					rejected.Add(1)
+				default:
+					failed.Add(1)
+					t.Errorf("batch %d line %d: %q", b, i, ln)
+				}
+			}
+		}
+	}()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -240,8 +306,8 @@ func TestMigrationUnderLoad(t *testing.T) {
 		completed += n.srv.TenantCompleted(tenant)
 	}
 	total := ok.Load() + rejected.Load()
-	if total != clients*perEach {
-		t.Fatalf("answered %d of %d requests", total, clients*perEach)
+	if total != clients*perEach+batches*perBatch {
+		t.Fatalf("answered %d of %d requests", total, clients*perEach+batches*perBatch)
 	}
 	if completed != ok.Load() {
 		t.Fatalf("fleet completed %d requests for tenant %d, clients saw %d oks: lost %d / duplicated %d",
@@ -256,7 +322,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 // TestGateRejectPolicy: with GateReject the router answers 503+Retry-After
 // during a handoff instead of queueing.
 func TestGateRejectPolicy(t *testing.T) {
-	nodes, router := startFleet(t, 2, GateReject)
+	_, router, _ := startFleet(t, 2, GateReject)
 	front := httptest.NewServer(router.Handler())
 	defer front.Close()
 
@@ -274,7 +340,6 @@ func TestGateRejectPolicy(t *testing.T) {
 	if code, body := postIO(t, http.DefaultClient, front.URL, 0, 0); code != http.StatusOK {
 		t.Fatalf("ungated tenant /io = %d: %s", code, body)
 	}
-	_ = nodes
 }
 
 // TestMembershipProbe: the prober reads readiness and per-tenant load from

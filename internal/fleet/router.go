@@ -46,15 +46,12 @@ type Config struct {
 	// before giving up with 503 (default 15s).
 	GateWait time.Duration
 	// ReqTimeout bounds each proxied request (default 60s; batches ride
-	// the same budget).
+	// the same budget) and each control-plane call to a node.
 	ReqTimeout time.Duration
-	// Conns sizes the per-node connection pool (default 64).
-	Conns int
-	// WireNodes, when set, enables the wire data plane: entry i is the
-	// wire (host:port) address of Nodes[i], or "" to keep that node on
-	// HTTP. Proxied I/O rides persistent multiplexed wire connections;
-	// HTTP remains the control plane (drain/handoff/release, status) and
-	// the compatibility data plane for clients that speak it.
+	// WireNodes is the wire data plane, required: entry i is the wire
+	// (host:port) address of Nodes[i]. Proxied I/O rides persistent
+	// multiplexed wire connections; HTTP is the nodes' control plane
+	// (drain/handoff/release, status, metrics) only.
 	WireNodes []string
 	// WireConns sizes the per-node wire connection pool (default 4; each
 	// connection pipelines any number of in-flight requests, so this is
@@ -77,9 +74,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ReqTimeout == 0 {
 		c.ReqTimeout = 60 * time.Second
-	}
-	if c.Conns == 0 {
-		c.Conns = 64
 	}
 	if c.WireConns == 0 {
 		c.WireConns = 4
@@ -111,14 +105,14 @@ func (t *routeTable) owner(tenant int) string {
 // nodes stay ignorant of each other.
 type Router struct {
 	cfg     Config
-	client  *http.Client
+	client  *http.Client // control plane: drain, handoff, release
 	table   atomic.Pointer[routeTable]
 	met     metrics
 	members *Membership // optional; enriches /fleet/status and /metrics
 
-	// wires maps a node's base URL to its persistent wire client (absent
-	// for HTTP-only nodes). Built once at construction; connections dial
-	// lazily and redial after failures.
+	// wires maps a node's base URL to its persistent wire client. Built
+	// once at construction; connections dial lazily and redial after
+	// failures.
 	wires map[string]*wire.Client
 
 	// migMu serializes migrations: one tenant moves at a time, so the
@@ -138,25 +132,19 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.GatePolicy != GateQueue && cfg.GatePolicy != GateReject {
 		return nil, fmt.Errorf("fleet: unknown gate policy %q", cfg.GatePolicy)
 	}
-	if len(cfg.WireNodes) != 0 && len(cfg.WireNodes) != len(cfg.Nodes) {
+	if len(cfg.WireNodes) != len(cfg.Nodes) {
 		return nil, fmt.Errorf("fleet: %d wire addresses for %d nodes", len(cfg.WireNodes), len(cfg.Nodes))
 	}
 	r := &Router{
-		cfg: cfg,
-		client: &http.Client{
-			Timeout: cfg.ReqTimeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        cfg.Conns * len(ring.Nodes()),
-				MaxIdleConnsPerHost: cfg.Conns,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
+		cfg:    cfg,
+		client: &http.Client{Timeout: cfg.ReqTimeout},
+		wires:  make(map[string]*wire.Client, len(cfg.Nodes)),
 	}
-	r.wires = make(map[string]*wire.Client)
 	for i, wa := range cfg.WireNodes {
-		if wa != "" {
-			r.wires[cfg.Nodes[i]] = wire.NewClient(wa, cfg.WireConns)
+		if wa == "" {
+			return nil, fmt.Errorf("fleet: node %s has no wire address", cfg.Nodes[i])
 		}
+		r.wires[cfg.Nodes[i]] = wire.NewClient(wa, cfg.WireConns)
 	}
 	r.table.Store(&routeTable{
 		version:   1,
@@ -168,7 +156,7 @@ func NewRouter(cfg Config) (*Router, error) {
 }
 
 // Close tears down the router's persistent wire connections. In-flight
-// calls fail with a transport error; HTTP proxying is unaffected.
+// calls fail with a transport error.
 func (r *Router) Close() {
 	for _, wc := range r.wires {
 		wc.Close()
@@ -204,10 +192,8 @@ func (r *Router) publish(mutate func(*routeTable)) *routeTable {
 func (r *Router) Owner(tenant int) string { return r.table.Load().owner(tenant) }
 
 // resolve returns the tenant's owner once any in-flight migration of that
-// tenant has been dealt with per the gate policy. A nil error with an empty
-// address never happens; a gate rejection returns errMigrating.
-var errMigrating = fmt.Errorf("fleet: tenant migrating")
-
+// tenant has been dealt with per the gate policy; a gate rejection returns
+// serve.ErrTenantMigrating.
 func (r *Router) resolve(tenant int) (string, error) {
 	deadline := time.Now().Add(r.cfg.GateWait)
 	for {
@@ -218,13 +204,13 @@ func (r *Router) resolve(tenant int) (string, error) {
 		}
 		if r.cfg.GatePolicy == GateReject {
 			r.met.gateRejects.Add(1)
-			return "", errMigrating
+			return "", serve.ErrTenantMigrating
 		}
 		r.met.gateWaits.Add(1)
 		wait := time.Until(deadline)
 		if wait <= 0 {
 			r.met.gateRejects.Add(1)
-			return "", errMigrating
+			return "", serve.ErrTenantMigrating
 		}
 		t := time.NewTimer(wait)
 		select {
@@ -233,7 +219,7 @@ func (r *Router) resolve(tenant int) (string, error) {
 			// Re-load the table: the migration published a new owner.
 		case <-t.C:
 			r.met.gateRejects.Add(1)
-			return "", errMigrating
+			return "", serve.ErrTenantMigrating
 		}
 	}
 }
@@ -258,29 +244,42 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeGateReject(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, "tenant migrating", http.StatusServiceUnavailable)
-}
-
-// ioBodyPool recycles /io request bodies and ioRespPool the rendered
-// responses, so the proxy fast path reads, decodes, forwards, and renders
-// without per-request allocations of its own.
+// ioBodyPool recycles /io request bodies, ioRespPool the rendered
+// responses, and ioWaitPool the completions handlers wait on, so the proxy
+// fast path reads, decodes, forwards, and renders without per-request
+// allocations of its own.
 var (
 	ioBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	ioRespPool = sync.Pool{New: func() any {
 		b := make([]byte, 0, 64)
 		return &b
 	}}
+	ioWaitPool = sync.Pool{New: func() any {
+		t := time.NewTimer(time.Hour)
+		t.Stop()
+		return &ioWait{done: make(chan struct{}, 1), timer: t}
+	}}
 )
 
-// handleIO proxies one JSON request to its tenant's owner — over the
-// persistent wire transport when the owner has one, over HTTP otherwise
-// (the body is decoded only to learn the tenant, then forwarded verbatim).
-// A "migrating" rejection from a node that gated the tenant under our feet
-// is retried through resolve (the request never reached a device, so the
-// retry cannot duplicate work). One client request counts as one proxied
-// request no matter how many retry attempts it takes.
+// ioWait is the Completion an /io handler blocks on. The completer writes
+// the outcome and then signals done (buffered, so it never blocks); the
+// handler reads the fields only after receiving the signal.
+type ioWait struct {
+	done  chan struct{}
+	timer *time.Timer
+	resp  serve.Response
+	err   error
+}
+
+func (iw *ioWait) Complete(resp serve.Response, err error) {
+	iw.resp, iw.err = resp, err
+	iw.done <- struct{}{}
+}
+
+// handleIO proxies one JSON request to its tenant's owner through forward
+// and waits for the outcome, at most ReqTimeout. A wait that times out
+// abandons its ioWait to the garbage collector instead of repooling it:
+// the upstream may still complete into it.
 func (r *Router) handleIO(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -293,96 +292,47 @@ func (r *Router) handleIO(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body := bodyBuf.Bytes()
-	sreq, err := serve.DecodeJSONRequest(body)
+	sreq, err := serve.DecodeJSONRequest(bodyBuf.Bytes())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if sreq.Tenant < 0 || sreq.Tenant >= r.cfg.Tenants {
-		http.Error(w, fmt.Sprintf("tenant %d outside [0,%d)", sreq.Tenant, r.cfg.Tenants), http.StatusBadRequest)
+	iw := ioWaitPool.Get().(*ioWait)
+	iw.timer.Reset(r.cfg.ReqTimeout)
+	r.forward(sreq, iw)
+	select {
+	case <-iw.done:
+	case <-iw.timer.C:
+		r.met.proxyErrs.Add(1)
+		writeReject(w, wire.ErrUpstream)
 		return
 	}
-	for attempt := 0; ; attempt++ {
-		owner, err := r.resolve(sreq.Tenant)
-		if err != nil {
-			writeGateReject(w)
-			return
-		}
-		if wc := r.wires[owner]; wc != nil {
-			lat, at, reason, err := wc.Do(sreq, r.cfg.ReqTimeout)
-			if err != nil {
-				r.met.proxyErrs.Add(1)
-				http.Error(w, fmt.Sprintf("upstream %s: %v", owner, err), http.StatusBadGateway)
-				return
-			}
-			if attempt == 0 { // one client request counts once, whatever the retries do
-				r.met.proxied.Add(1)
-				r.met.wireProxied.Add(1)
-			}
-			if reason == "migrating" && r.cfg.GatePolicy == GateQueue && attempt < 4 {
-				continue
-			}
-			if reason != "" {
-				writeReasonReject(w, reason)
-				return
-			}
-			bp := ioRespPool.Get().(*[]byte)
-			out := serve.AppendIOResponse((*bp)[:0], lat, at)
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(out)
-			*bp = out[:0]
-			ioRespPool.Put(bp)
-			return
-		}
-		resp, err := r.client.Post(owner+"/io", "application/json", bytes.NewReader(body))
-		if err != nil {
-			r.met.proxyErrs.Add(1)
-			http.Error(w, fmt.Sprintf("upstream %s: %v", owner, err), http.StatusBadGateway)
-			return
-		}
-		respBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if attempt == 0 {
-			r.met.proxied.Add(1)
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable &&
-			strings.Contains(string(respBody), "migrating") &&
-			r.cfg.GatePolicy == GateQueue && attempt < 4 {
-			// The node gated this tenant between our table load and the
-			// forward; wait the migration out and retry at the new owner.
-			continue
-		}
-		for _, h := range []string{"Content-Type", "Retry-After"} {
-			if v := resp.Header.Get(h); v != "" {
-				w.Header().Set(h, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(respBody)
+	resp, err := iw.resp, iw.err
+	if iw.timer.Stop() { // a stopped timer leaves no stale tick behind
+		iw.resp, iw.err = serve.Response{}, nil
+		ioWaitPool.Put(iw)
+	}
+	if err != nil {
+		writeReject(w, err)
 		return
 	}
+	bp := ioRespPool.Get().(*[]byte)
+	out := serve.AppendIOResponse((*bp)[:0], int64(resp.Latency), int64(resp.At))
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(out)
+	*bp = out[:0]
+	ioRespPool.Put(bp)
 }
 
-// writeReasonReject maps a wire rejection token onto the HTTP status the
-// node's own front end would have used, so clients cannot tell which data
-// plane carried their request.
-func writeReasonReject(w http.ResponseWriter, reason string) {
-	var status int
-	switch reason {
-	case "queue_full":
-		status = http.StatusTooManyRequests
-	case "migrating", "draining":
-		status = http.StatusServiceUnavailable
-	case "timeout":
-		status = http.StatusGatewayTimeout
-	default:
-		status = http.StatusBadRequest
+// writeReject answers a forwarded request's error as the node's own front
+// end would (serve.WriteReject), so clients cannot tell that a router
+// stands in between; an upstream failure is a 502.
+func writeReject(w http.ResponseWriter, err error) {
+	if errors.Is(err, wire.ErrUpstream) {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
 	}
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	http.Error(w, wire.ReasonError(reason).Error(), status)
+	serve.WriteReject(w, err)
 }
 
 // Batch bounds, aligned with the node-side decoder (serve/http.go): the
@@ -393,103 +343,43 @@ const (
 	maxBatchLines = 65536
 )
 
-// batchLine is one scanned line's routing and outcome. Wire outcomes land
-// from connection read goroutines: the observer fills lat/ok/reason, then
-// publishes with an atomic store to state; the renderer reads fields only
-// after observing the store (lines never resolved by the deadline render
-// as upstream failures without touching the racy fields).
+// batchLine is one scanned line and the Completion its outcome lands in,
+// from whichever goroutine resolves it. Complete fills ok/lat/reason, then
+// publishes with an atomic store to state; the renderer reads the fields
+// only after observing the store (lines never resolved by the deadline
+// render as upstream failures without touching the racy fields).
 type batchLine struct {
+	st     *batchState // nil for a line rejected at decode: resolved, never forwarded
 	req    serve.Request
-	owner  int16  // index into batchState.owners; -1 for local rejections
-	pos    int32  // position within the owner's sub-batch
-	state  uint32 // wire lines: 0 in flight, 1 resolved (atomic)
+	state  uint32 // 0 in flight, 1 resolved (atomic)
 	ok     bool
 	lat    int64
-	reason string // interned rejection token for local/wire rejections
+	reason string // interned rejection token
 }
 
-// ownerBatch is one node's slice of a batch: for HTTP owners the
-// accumulated sub-batch body and the reply arena; for wire owners just the
-// line count (requests pipeline individually, no body is built).
-type ownerBatch struct {
-	addr  string
-	wc    *wire.Client
-	n     int32
-	body  []byte  // HTTP: sub-batch request body
-	arena []byte  // HTTP: reply bytes, gathered without per-line strings
-	offs  []int32 // HTTP: arena offsets; reply i is arena[offs[i]:offs[i+1]]
-	fail  bool    // HTTP: whole sub-batch failed
+func (l *batchLine) Complete(resp serve.Response, err error) {
+	if err != nil {
+		l.reason = wire.RejectToken(err)
+	} else {
+		l.ok, l.lat = true, int64(resp.Latency)
+	}
+	atomic.StoreUint32(&l.state, 1)
+	if l.st.remaining.Add(-1) == 0 {
+		close(l.st.done)
+	}
 }
 
 // batchState is a batch's whole scratch space, pooled so the steady-state
-// scatter/gather path allocates nothing. A state whose wire outcomes all
-// arrived goes back to the pool; one abandoned at the deadline is left to
-// the garbage collector, because late observers still hold it.
+// scatter/gather path allocates nothing. A state whose lines all completed
+// goes back to the pool; one abandoned at the deadline is left to the
+// garbage collector, because late completions still hold it.
 type batchState struct {
-	lines       []batchLine
-	owners      []ownerBatch
-	tenantOwner []int16 // per tenant: -2 unresolved, -1 gate-rejected, else owner index
-	remaining   atomic.Int64
-	wireDone    chan struct{}
-}
-
-func (st *batchState) Done(tag uint64, latencyNS, _ int64, reason string, err error) {
-	l := &st.lines[tag]
-	switch {
-	case err != nil:
-		l.reason = wire.ReasonUpstream
-	case reason != "":
-		l.reason = reason
-	default:
-		l.ok = true
-		l.lat = latencyNS
-	}
-	atomic.StoreUint32(&l.state, 1)
-	if st.remaining.Add(-1) == 0 {
-		close(st.wireDone)
-	}
+	lines     []batchLine
+	remaining atomic.Int64
+	done      chan struct{}
 }
 
 var batchStatePool = sync.Pool{New: func() any { return new(batchState) }}
-
-func (r *Router) getBatchState() *batchState {
-	st := batchStatePool.Get().(*batchState)
-	st.lines = st.lines[:0]
-	st.owners = st.owners[:0] // slots are reset as ownerIndex reuses them
-	if cap(st.tenantOwner) < r.cfg.Tenants {
-		st.tenantOwner = make([]int16, r.cfg.Tenants)
-	}
-	st.tenantOwner = st.tenantOwner[:r.cfg.Tenants]
-	for i := range st.tenantOwner {
-		st.tenantOwner[i] = -2
-	}
-	st.remaining.Store(0)
-	st.wireDone = make(chan struct{})
-	return st
-}
-
-// ownerIndex interns an owner address into the batch's owner list. A slot
-// within the pooled slice's capacity is reused in place — its body, arena,
-// and offs keep the capacity they grew in earlier batches, which is what
-// keeps the steady-state HTTP scatter/gather path allocation-free.
-func (st *batchState) ownerIndex(r *Router, addr string) int16 {
-	for i := range st.owners {
-		if st.owners[i].addr == addr {
-			return int16(i)
-		}
-	}
-	n := len(st.owners)
-	if n < cap(st.owners) {
-		st.owners = st.owners[:n+1]
-		ob := &st.owners[n]
-		ob.addr, ob.wc = addr, r.wires[addr]
-		ob.n, ob.fail = 0, false
-		ob.body, ob.arena, ob.offs = ob.body[:0], ob.arena[:0], ob.offs[:0]
-	} else {
-		st.owners = append(st.owners, ownerBatch{addr: addr, wc: r.wires[addr]})
-	}
-	return int16(n)
-}
 
 var (
 	batchScanPool = sync.Pool{New: func() any {
@@ -501,21 +391,21 @@ var (
 	}}
 )
 
-// handleBatch proxies a line-protocol batch, splitting it by owner node.
-// Lines keep their positions: owners are resolved once per (batch, tenant),
-// wire owners have each line pipelined individually onto their persistent
-// connections (tagged with the line index, so replies demux straight into
-// place), HTTP owners receive sub-batches preserving relative order, and
-// the replies are gathered back into one response in the original line
-// order. Steady state allocates nothing: the scan buffer, line table,
-// per-owner bodies, and reply arenas are all pooled, and lines are decoded
-// with DecodeLineBytes straight off the scanner's buffer.
+// handleBatch proxies a line-protocol batch: every decodable line goes
+// through forward with its own batchLine as the Completion, so lines
+// pipeline individually onto the owners' persistent connections and their
+// outcomes land straight in place. The replies render in the original line
+// order once every line completed or ReqTimeout passed. Steady state
+// allocates nothing: the scan buffer, line table, and writer are pooled,
+// and lines are decoded with DecodeLineBytes straight off the scanner's
+// buffer.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	st := r.getBatchState()
+	st := batchStatePool.Get().(*batchState)
+	st.lines = st.lines[:0]
 	abandoned := false
 	defer func() {
 		if !abandoned {
@@ -527,6 +417,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	defer batchScanPool.Put(bufp)
 	sc := bufio.NewScanner(http.MaxBytesReader(w, req.Body, maxBatchBody))
 	sc.Buffer(*bufp, maxBatchBody)
+	inflight := int64(0)
 	for sc.Scan() {
 		raw := sc.Bytes()
 		if len(raw) == 0 {
@@ -537,31 +428,12 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		sreq, err := serve.DecodeLineBytes(raw)
-		if err != nil || sreq.Tenant < 0 || sreq.Tenant >= r.cfg.Tenants {
-			st.lines = append(st.lines, batchLine{owner: -1, reason: "invalid"})
+		if err != nil {
+			st.lines = append(st.lines, batchLine{state: 1, reason: "invalid"})
 			continue
 		}
-		own := st.tenantOwner[sreq.Tenant]
-		if own == -2 { // first line of this tenant: resolve once per batch
-			addr, err := r.resolve(sreq.Tenant)
-			if err != nil {
-				own = -1
-			} else {
-				own = st.ownerIndex(r, addr)
-			}
-			st.tenantOwner[sreq.Tenant] = own
-		}
-		if own == -1 {
-			st.lines = append(st.lines, batchLine{owner: -1, reason: "migrating"})
-			continue
-		}
-		ob := &st.owners[own]
-		if ob.wc == nil {
-			ob.body = append(ob.body, raw...)
-			ob.body = append(ob.body, '\n')
-		}
-		st.lines = append(st.lines, batchLine{req: sreq, owner: own, pos: ob.n})
-		ob.n++
+		st.lines = append(st.lines, batchLine{st: st, req: sreq})
+		inflight++
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
@@ -571,52 +443,21 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	// Scatter. Wire lines pipeline one by one (the outbox coalesces their
-	// frames into few writes); HTTP owners get one goroutine each.
-	wireLines := int64(0)
-	for i := range st.owners {
-		if st.owners[i].wc != nil {
-			wireLines += int64(st.owners[i].n)
-		}
-	}
-	st.remaining.Store(wireLines)
-	var wg sync.WaitGroup
-	for i := range st.owners {
-		ob := &st.owners[i]
-		if ob.wc != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(ob *ownerBatch) {
-			defer wg.Done()
-			r.gatherHTTP(ob)
-		}(ob)
-	}
-	if wireLines > 0 {
-		r.met.proxied.Add(uint64(wireLines))
-		r.met.wireProxied.Add(uint64(wireLines))
+	// Scatter: the outboxes coalesce the pipelined frames into few writes.
+	if inflight > 0 {
+		st.remaining.Store(inflight)
+		st.done = make(chan struct{})
 		for i := range st.lines {
-			l := &st.lines[i]
-			if l.owner < 0 {
-				continue
-			}
-			wc := st.owners[l.owner].wc
-			if wc == nil {
-				continue
-			}
-			if err := wc.Start(l.req, uint64(i), st); err != nil {
-				st.Done(uint64(i), 0, 0, "", err)
+			if l := &st.lines[i]; l.st != nil {
+				r.forward(l.req, l)
 			}
 		}
-	}
-	wg.Wait()
-	if wireLines > 0 {
 		t := time.NewTimer(r.cfg.ReqTimeout)
 		select {
-		case <-st.wireDone:
+		case <-st.done:
 			t.Stop()
 		case <-t.C:
-			abandoned = true // late observers still hold st; leave it to GC
+			abandoned = true // late completions still hold st; leave it to GC
 		}
 	}
 
@@ -633,65 +474,23 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	for i := range st.lines {
 		l := &st.lines[i]
 		switch {
-		case l.owner < 0:
+		case atomic.LoadUint32(&l.state) != 1:
+			bw.WriteString("rej upstream")
+		case l.ok:
+			bw.WriteString("ok ")
+			bw.Write(strconv.AppendInt(num[:0], l.lat, 10))
+		default:
 			bw.WriteString("rej ")
 			bw.WriteString(l.reason)
-		case st.owners[l.owner].wc != nil:
-			if atomic.LoadUint32(&l.state) != 1 {
-				bw.WriteString("rej upstream")
-			} else if l.ok {
-				bw.WriteString("ok ")
-				bw.Write(strconv.AppendInt(num[:0], l.lat, 10))
-			} else {
-				bw.WriteString("rej ")
-				bw.WriteString(l.reason)
-			}
-		default:
-			ob := &st.owners[l.owner]
-			if ob.fail || int(l.pos) >= len(ob.offs)-1 {
-				bw.WriteString("rej upstream")
-			} else {
-				bw.Write(ob.arena[ob.offs[l.pos]:ob.offs[l.pos+1]])
-			}
 		}
 		bw.WriteByte('\n')
-	}
-}
-
-// gatherHTTP forwards one HTTP owner's sub-batch and collects its reply
-// lines into the owner's arena. Missing trailer lines (node died mid-reply)
-// leave offs short; the renderer answers "rej upstream" for those.
-func (r *Router) gatherHTTP(ob *ownerBatch) {
-	resp, err := r.client.Post(ob.addr+"/io/batch", "text/plain", bytes.NewReader(ob.body))
-	if err != nil {
-		r.met.proxyErrs.Add(1)
-		ob.fail = true
-		return
-	}
-	defer resp.Body.Close()
-	r.met.proxied.Add(uint64(ob.n))
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		ob.fail = true
-		return
-	}
-	bufp := batchScanPool.Get().(*[]byte)
-	defer batchScanPool.Put(bufp)
-	rs := bufio.NewScanner(resp.Body)
-	rs.Buffer(*bufp, maxBatchBody)
-	ob.offs = append(ob.offs, int32(len(ob.arena)))
-	got := int32(0)
-	for rs.Scan() && got < ob.n {
-		ob.arena = append(ob.arena, rs.Bytes()...)
-		ob.offs = append(ob.offs, int32(len(ob.arena)))
-		got++
 	}
 }
 
 // statusReply is /fleet/status's JSON document.
 type statusReply struct {
 	Nodes       []string          `json:"nodes"`
-	WireNodes   map[string]string `json:"wire_nodes,omitempty"` // node URL → wire addr
+	WireNodes   map[string]string `json:"wire_nodes"` // node URL → wire addr
 	RingVersion uint64            `json:"ring_version"`
 	Tenants     map[string]string `json:"tenants"` // tenant → owner
 	Migrating   []int             `json:"migrating,omitempty"`
@@ -705,6 +504,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		Nodes:       tab.ring.Nodes(),
 		RingVersion: tab.version,
 		Tenants:     map[string]string{},
+		WireNodes:   map[string]string{},
 		Migrations: map[string]uint64{
 			"started":   r.met.migStarted.Load(),
 			"completed": r.met.migCompleted.Load(),
@@ -714,11 +514,8 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	for t := 0; t < r.cfg.Tenants; t++ {
 		st.Tenants[strconv.Itoa(t)] = tab.owner(t)
 	}
-	if len(r.wires) > 0 {
-		st.WireNodes = map[string]string{}
-		for node, wc := range r.wires {
-			st.WireNodes[node] = wc.Addr()
-		}
+	for node, wc := range r.wires {
+		st.WireNodes[node] = wc.Addr()
 	}
 	for t := range tab.migrating {
 		st.Migrating = append(st.Migrating, t)

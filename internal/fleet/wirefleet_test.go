@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -17,46 +15,6 @@ import (
 	"ssdkeeper/internal/trace"
 	"ssdkeeper/internal/wire"
 )
-
-// startWireListener serves the wire protocol for a backend on an ephemeral
-// port and returns the dial address.
-func startWireListener(t *testing.T, b wire.Backend) (*wire.Server, string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := wire.NewServer(b)
-	go ws.Serve(ln)
-	t.Cleanup(func() { ws.Close() })
-	return ws, ln.Addr().String()
-}
-
-// startWireFleet is startFleet with the wire data plane everywhere: each
-// node gets a wire listener, the router proxies over them, and the router
-// itself listens on wire (the returned address) — no HTTP on the data path.
-func startWireFleet(t *testing.T, nodes int, gatePolicy string) ([]*testNode, *Router, string) {
-	t.Helper()
-	members := make([]*testNode, nodes)
-	addrs := make([]string, nodes)
-	waddrs := make([]string, nodes)
-	for i := range members {
-		members[i] = startNode(t)
-		addrs[i] = members[i].ts.URL
-		t.Cleanup(members[i].stop)
-		_, waddrs[i] = startWireListener(t, members[i].srv.Node)
-	}
-	r, err := NewRouter(Config{
-		Nodes: addrs, WireNodes: waddrs,
-		GatePolicy: gatePolicy, GateWait: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-	_, front := startWireListener(t, r.WireBackend())
-	return members, r, front
-}
 
 // strandBackend completes the first limit requests inline and strands the
 // rest without answering; with kill set it tears the server down instead,
@@ -156,77 +114,148 @@ func TestBatchWireUpstreamDies(t *testing.T) {
 	}
 }
 
-// TestBatchHTTPUpstreamDies: an HTTP owner whose connection drops mid-reply
-// leaves the router with a short reply arena; the answered prefix renders
-// and the missing trailer comes back "rej upstream".
-func TestBatchHTTPUpstreamDies(t *testing.T) {
-	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != "/io/batch" {
-			http.NotFound(w, req)
-			return
+// TestNewRouterNeedsWireAddrs: wire is the only router↔node data plane,
+// so every node needs a wire address, in position with Nodes.
+func TestNewRouterNeedsWireAddrs(t *testing.T) {
+	nodes := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
+	for name, wires := range map[string][]string{
+		"missing":     nil,
+		"short":       {"127.0.0.1:3"},
+		"empty entry": {"127.0.0.1:3", ""},
+	} {
+		if r, err := NewRouter(Config{Nodes: nodes, WireNodes: wires}); err == nil {
+			r.Close()
+			t.Errorf("%s: NewRouter accepted wire addresses %q", name, wires)
 		}
-		body, _ := io.ReadAll(req.Body)
-		n := bytes.Count(body, []byte{'\n'})
-		hj, ok := w.(http.Hijacker)
-		if !ok {
-			t.Error("recorder not hijackable")
-			return
-		}
-		conn, bw, err := hj.Hijack()
-		if err != nil {
-			t.Errorf("hijack: %v", err)
-			return
-		}
-		// Close-delimited body with only half the reply lines: the node
-		// died mid-flush.
-		fmt.Fprintf(bw, "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\n")
-		for i := 0; i < n/2; i++ {
-			fmt.Fprintf(bw, "ok 1000\n")
-		}
-		bw.Flush()
-		conn.Close()
-	}))
-	defer up.Close()
-
-	r, err := NewRouter(Config{Nodes: []string{up.URL}})
+	}
+	r, err := NewRouter(Config{Nodes: nodes, WireNodes: []string{"127.0.0.1:3", "127.0.0.1:4"}})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("complete wire addresses: %v", err)
 	}
-	defer r.Close()
-	front := httptest.NewServer(r.Handler())
-	defer front.Close()
+	r.Close()
+}
 
-	batch := strings.Repeat("1 R 0 16384\n", 8)
-	resp, err := http.Post(front.URL+"/io/batch", "text/plain", strings.NewReader(batch))
-	if err != nil {
-		t.Fatal(err)
+// migrateOnceBackend is a node that gated each request's tenant between
+// the router's table load and the forward: the first submission of every
+// request key is rejected as migrating, the second completes.
+type migrateOnceBackend struct {
+	mu   sync.Mutex
+	subs map[uint64]int
+}
+
+func (b *migrateOnceBackend) SubmitTo(req serve.Request, c serve.Completion) error {
+	b.mu.Lock()
+	b.subs[req.Key]++
+	first := b.subs[req.Key] == 1
+	b.mu.Unlock()
+	if first {
+		return serve.ErrTenantMigrating
 	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("batch answered %d lines, want 8: %q", len(lines), data)
-	}
-	for i, ln := range lines {
-		want := "ok 1000"
-		if i >= 4 {
-			want = "rej upstream"
-		}
-		if ln != want {
-			t.Errorf("line %d = %q, want %q", i, ln, want)
-		}
+	c.Complete(serve.Response{Latency: 1000, At: 1}, nil)
+	return nil
+}
+
+// TestMigratingRetryEveryFront: a node-side migrating rejection is handled
+// the same way whichever client front carried the request — /io, each
+// /io/batch line, and the router's wire listener all retry it under the
+// queue policy (exactly two submissions, answer ok) and all pass it on
+// under the reject policy (one submission, answer migrating).
+func TestMigratingRetryEveryFront(t *testing.T) {
+	for _, tc := range []struct {
+		policy string
+		subs   int
+	}{{GateQueue, 2}, {GateReject, 1}} {
+		t.Run(tc.policy, func(t *testing.T) {
+			bk := &migrateOnceBackend{subs: map[uint64]int{}}
+			_, waddr := startWireListener(t, bk)
+			up := httptest.NewServer(http.NewServeMux()) // control plane only
+			t.Cleanup(up.Close)
+			r, err := NewRouter(Config{
+				Nodes: []string{up.URL}, WireNodes: []string{waddr}, GatePolicy: tc.policy,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(r.Close)
+			front := httptest.NewServer(r.Handler())
+			t.Cleanup(front.Close)
+			_, wfront := startWireListener(t, r.WireBackend())
+			wc := wire.NewClient(wfront, 1)
+			t.Cleanup(wc.Close)
+			retried := tc.policy == GateQueue
+
+			// /io, request key 1.
+			resp, err := http.Post(front.URL+"/io", "application/json",
+				strings.NewReader(`{"tenant":1,"op":"read","offset":0,"size":16384,"key":1}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if retried && resp.StatusCode != http.StatusOK {
+				t.Errorf("/io = %d %q, want 200", resp.StatusCode, body)
+			}
+			if !retried && (resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "migrating")) {
+				t.Errorf("/io = %d %q, want 503 migrating", resp.StatusCode, body)
+			}
+
+			// /io/batch, request keys 2..5.
+			resp, err = http.Post(front.URL+"/io/batch", "text/plain",
+				strings.NewReader("1 R 0 16384 2\n1 W 0 16384 3\n1 R 16384 16384 4\n1 W 16384 16384 5\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := "rej migrating"
+			if retried {
+				want = "ok 1000"
+			}
+			lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+			if len(lines) != 4 {
+				t.Fatalf("batch answered %d lines, want 4: %q", len(lines), body)
+			}
+			for i, ln := range lines {
+				if ln != want {
+					t.Errorf("batch line %d = %q, want %q", i, ln, want)
+				}
+			}
+
+			// Wire front, request key 6.
+			_, _, reason, err := wc.Do(serve.Request{Tenant: 1, Op: trace.Read, Size: 16384, Key: 6}, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if retried && reason != "" || !retried && reason != "migrating" {
+				t.Errorf("wire front reason = %q (queue policy %v)", reason, retried)
+			}
+
+			bk.mu.Lock()
+			defer bk.mu.Unlock()
+			for key := uint64(1); key <= 6; key++ {
+				if got := bk.subs[key]; got != tc.subs {
+					t.Errorf("key %d submitted %d times, want %d", key, got, tc.subs)
+				}
+			}
+			var met strings.Builder
+			r.WriteMetrics(&met)
+			if !strings.Contains(met.String(), "ssdkeeper_fleet_proxied_total 6\n") {
+				t.Errorf("6 client requests must count 6 proxied, whatever the retries:\n%s", met.String())
+			}
+		})
 	}
 }
 
 // TestGateWaitTimeout: under the queue policy a request gated by a
 // migration that never finishes must come back as a migrating rejection
-// after GateWait — on both data planes — not block forever.
+// after GateWait — on both client fronts — not block forever.
 func TestGateWaitTimeout(t *testing.T) {
 	n := startNode(t)
 	t.Cleanup(n.stop)
 	const gateWait = 150 * time.Millisecond
 	r, err := NewRouter(Config{
-		Nodes: []string{n.ts.URL}, GatePolicy: GateQueue, GateWait: gateWait,
+		Nodes: []string{n.ts.URL}, WireNodes: []string{n.wire},
+		GatePolicy: GateQueue, GateWait: gateWait,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +288,7 @@ func TestGateWaitTimeout(t *testing.T) {
 		t.Errorf("wire answered in %v, before the %v gate wait expired", e, gateWait)
 	}
 
-	// Release the gate: both planes flow again.
+	// Release the gate: both fronts flow again.
 	r.publish(func(tab *routeTable) { delete(tab.migrating, 0) })
 	close(gate)
 	if code, body := postIO(t, http.DefaultClient, front.URL, 0, 0); code != http.StatusOK {
@@ -270,14 +299,14 @@ func TestGateWaitTimeout(t *testing.T) {
 	}
 }
 
-// TestWireMigrationUnderLoad is TestMigrationUnderLoad on the wire data
-// plane end to end: concurrent wire clients hammer one tenant through the
-// router's wire listener while the tenant migrates twice, and afterwards
+// TestWireMigrationUnderLoad is TestMigrationUnderLoad on the wire client
+// front: concurrent wire clients hammer one tenant through the router's
+// wire listener while the tenant migrates twice, and afterwards
 // the client success count must equal the fleet-wide completion count for
 // the tenant — nothing lost, nothing duplicated, on persistent pipelined
 // connections crossing a drain/handoff/flip.
 func TestWireMigrationUnderLoad(t *testing.T) {
-	nodes, router, front := startWireFleet(t, 3, GateQueue)
+	nodes, router, front := startFleet(t, 3, GateQueue)
 	const (
 		tenant  = 1
 		clients = 8

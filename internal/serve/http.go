@@ -121,7 +121,10 @@ func rejectStatus(err error) int {
 	}
 }
 
-func writeReject(w http.ResponseWriter, err error) {
+// WriteReject answers an admission error with its HTTP status, plus
+// Retry-After where a retry can succeed. Exported so the fleet router
+// answers exactly as a node would.
+func WriteReject(w http.ResponseWriter, err error) {
 	status := rejectStatus(err)
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterSeconds)
@@ -175,7 +178,7 @@ func (s *Server) handleIO(w http.ResponseWriter, r *http.Request, reqTimeout tim
 	defer cancel()
 	resp, err := s.Submit(ctx, req)
 	if err != nil {
-		writeReject(w, err)
+		WriteReject(w, err)
 		return
 	}
 	bp := ioRespPool.Get().(*[]byte)

@@ -37,6 +37,16 @@ func ReasonString(b []byte) string {
 	return string(b)
 }
 
+// RejectToken renders an error as a reply reason: the serve vocabulary,
+// plus "upstream" for proxy transport failures (the router completes with
+// ErrUpstream when the owner node died under the request).
+func RejectToken(err error) string {
+	if errors.Is(err, ErrUpstream) {
+		return ReasonUpstream
+	}
+	return serve.RejectReason(err)
+}
+
 // ReasonError maps a reason token back onto the serve-layer error it came
 // from (see serve.RejectReason), so a proxy forwarding wire rejections into
 // a Completion preserves error identity end to end.

@@ -37,8 +37,9 @@
 # Part 4 benchmarks the fleet data plane and writes BENCH_fleet.json: for
 # each node count in FLEET_SWEEP it boots that many wire-enabled nodes plus
 # one keeperfleet router and measures router-vs-direct throughput and
-# round-trip p99 over both transports (HTTP JSON proxy vs the persistent
-# framed wire protocol), on the single-request and batch paths. Skip with
+# round-trip p99 over both client fronts (HTTP JSON vs the persistent
+# framed wire protocol; the router's node hop is wire for both), on the
+# single-request and batch paths. Skip with
 # FLEET=0; runs even under SERVER=0.
 #
 # Part 5 (directly after Part 1 in the file, since it needs no daemons)
@@ -458,6 +459,6 @@ jq -n \
   --arg cpu "${cpu:-unknown}" \
   '{requests_per_point: $n, accel: $accel, workers: $workers,
     batch_size: $batch, tenants: $tenants, cpu: $cpu,
-    note: "fleet data-plane sweep: closed loop through one keeperfleet router; http = per-request JSON proxy, wire = persistent framed transport with pipelining and write coalescing; each point also replays the identical stream directly against the nodes, so router_overhead_p99_ms = router rtt p99 - direct rtt p99; accel is high enough that transport, not the simulated device, bounds throughput",
+    note: "fleet data-plane sweep: closed loop through one keeperfleet router; http = HTTP client front (one JSON request per call), wire = wire client front (persistent framed transport with pipelining and write coalescing); the router reaches the nodes over wire in both; each point also replays the identical stream directly against the nodes, so router_overhead_p99_ms = router rtt p99 - direct rtt p99; accel is high enough that transport, not the simulated device, bounds throughput",
     sweep: $points}' > "$FLEET_OUT"
 echo "wrote $FLEET_OUT" >&2

@@ -20,10 +20,11 @@
 #   4. Wire data plane: the four wire codec benchmarks (encode/parse for
 #      request and reply frames) must report 0 allocs/op — the router's
 #      proxy fast path is built on them — and BenchmarkProxyTransport/wire
-#      must be at least WIRE_RATIO (default 1.0) times faster than
-#      BenchmarkProxyTransport/http from the same run, pinning that the
-#      persistent framed transport never falls behind the per-request HTTP
-#      proxy it replaced.
+#      (the router's /io proxy over a real wire socket) must report exactly
+#      PROXY_ALLOCS allocs/op. Nearly all of them are the harness's
+#      per-iteration httptest request and recorder; pinning the count
+#      exactly makes any allocation the proxy path gains fail the gate.
+#      Its ns/op joins the Gate 3 baseline check.
 #   5. Device-health overhead: BenchmarkSimulatorHealthOverhead interleaves
 #      no-fault and armed-but-empty-plan simulator runs in GC-isolated
 #      pairs and reports their time ratio; the median over HEALTH_COUNT
@@ -47,7 +48,7 @@ cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-500ms}"
 GATE_RATIO="${GATE_RATIO:-2.0}"
-WIRE_RATIO="${WIRE_RATIO:-1.0}"
+PROXY_ALLOCS=22
 BENCH_GATE_FACTOR="${BENCH_GATE_FACTOR:-1.5}"
 BENCH_GATE_INJECT="${BENCH_GATE_INJECT:-1}"
 BASELINE="scripts/bench_baseline.json"
@@ -60,7 +61,7 @@ go test -run '^$' -bench 'BenchmarkServeIO$' -benchmem -benchtime "$BENCHTIME" -
   ./internal/serve/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkWire(Encode|Parse)(Request|Reply)$' -benchmem \
   -benchtime "$BENCHTIME" -cpu 1 ./internal/wire/ | tee -a "$RAW" >&2
-go test -run '^$' -bench 'BenchmarkProxyTransport$' -benchmem -benchtime "$BENCHTIME" \
+go test -run '^$' -bench 'BenchmarkProxyTransport$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
   ./internal/fleet/ | tee -a "$RAW" >&2
 go test -run '^$' -bench 'BenchmarkFTLMapWrite$' -benchmem -benchtime "$BENCHTIME" -cpu 1 \
   ./internal/ftl/ | tee -a "$RAW" >&2
@@ -85,8 +86,9 @@ wire_par_req=$(ns "BenchmarkWireParseRequest")
 wire_enc_rep=$(ns "BenchmarkWireEncodeReply")
 wire_par_rep=$(ns "BenchmarkWireParseReply")
 ftl_write=$(ns "BenchmarkFTLMapWrite")
+proxy_ns=$(ns "BenchmarkProxyTransport/wire")
 for v in "$f64_call" "$int8_batch" "$decode_ns" "$render_ns" \
-  "$wire_enc_req" "$wire_par_req" "$wire_enc_rep" "$wire_par_rep" "$ftl_write"; do
+  "$wire_enc_req" "$wire_par_req" "$wire_enc_rep" "$wire_par_rep" "$ftl_write" "$proxy_ns"; do
   if [ -z "$v" ]; then
     echo "bench_gate: FAIL - missing benchmark result" >&2
     exit 1
@@ -131,22 +133,13 @@ for b in WireEncodeRequest WireParseRequest WireEncodeReply WireParseReply; do
   fi
 done
 
-# Gate 4b: same-run transport ratio — the wire proxy path must not fall
-# behind the HTTP proxy path it replaced.
-http_ns=$(ns "BenchmarkProxyTransport/http")
-wire_ns=$(ns "BenchmarkProxyTransport/wire")
-if [ -z "$http_ns" ] || [ -z "$wire_ns" ]; then
-  echo "bench_gate: FAIL - missing BenchmarkProxyTransport result" >&2
+# Gate 4b: exact allocation count on the router's /io proxy path.
+got=$(allocs "BenchmarkProxyTransport/wire")
+if [ "${got:-x}" != "$PROXY_ALLOCS" ]; then
+  echo "bench_gate: FAIL - BenchmarkProxyTransport/wire reports ${got:-?} allocs/op, want exactly $PROXY_ALLOCS" >&2
   fail=1
 else
-  wratio=$(jq -n --argjson a "$http_ns" --argjson b "$wire_ns" \
-    'if $b > 0 then (($a / $b) * 100 | round) / 100 else 0 end')
-  if jq -en --argjson r "$wratio" --argjson want "$WIRE_RATIO" '$r < $want' >/dev/null; then
-    echo "bench_gate: FAIL - proxy wire (${wire_ns}ns) is only ${wratio}x the http path (${http_ns}ns), want >= ${WIRE_RATIO}x" >&2
-    fail=1
-  else
-    echo "bench_gate: ok - proxy wire ${wire_ns}ns vs http ${http_ns}ns (${wratio}x >= ${WIRE_RATIO}x)" >&2
-  fi
+  echo "bench_gate: ok - BenchmarkProxyTransport/wire $PROXY_ALLOCS allocs/op" >&2
 fi
 
 # Gate 5: no-fault health overhead. The benchmark reports a same-run
@@ -199,7 +192,8 @@ for pair in \
   "BenchmarkWireParseRequest:$wire_par_req" \
   "BenchmarkWireEncodeReply:$wire_enc_rep" \
   "BenchmarkWireParseReply:$wire_par_rep" \
-  "BenchmarkFTLMapWrite:$ftl_write"; do
+  "BenchmarkFTLMapWrite:$ftl_write" \
+  "BenchmarkProxyTransport/wire:$proxy_ns"; do
   name="${pair%:*}"; got="${pair##*:}"
   base=$(jq -r --arg k "$name" '.ns_op[$k] // empty' "$BASELINE")
   if [ -z "$base" ]; then

@@ -16,17 +16,18 @@
 #   - the source node is ready again after the release,
 #   - router and nodes all shut down cleanly on SIGTERM.
 #
-# WIRE=1 runs the same scenario over the persistent framed wire data plane:
-# every node gets a -wire-listen (its HTTP port + 1000), the router proxies
-# over -wire-nodes and serves wire itself, and keeperload drives -wire
-# against the router's wire listener. The migration, loss/duplication, and
-# shutdown assertions are identical — the contract holds on both planes.
+# The router always reaches the nodes over the wire data plane: every node
+# gets a -wire-listen (its HTTP port + 1000) and the router -wire-nodes.
+# WIRE selects only the client front: by default keeperload posts HTTP to
+# the router; WIRE=1 makes the router serve wire too (its port + 1000) and
+# keeperload drive -wire against it. The migration, loss/duplication, and
+# shutdown assertions are identical — the contract holds on both fronts.
 #
 # A second topology then exercises the device-health tier: the node owning
 # tenants 0, 1, 3 boots with a fault plan that kills a die mid-load. The
 # script asserts the auditor flips that node's /readyz to degraded, the
 # router's rebalancer quarantines a tenant off it onto a healthy node, and
-# the load generator still loses zero requests.
+# the load generator, on the same client front, still loses zero requests.
 #
 # Usage: scripts/smoke_fleet.sh [router-port]
 #        WIRE=1 scripts/smoke_fleet.sh
@@ -75,35 +76,42 @@ fail() {
   exit 1
 }
 
-plane="http"
-[ "$WIRE" = "1" ] && plane="wire"
-echo "booting 3 nodes + router (data plane: $plane)..." >&2
+front="http"
+[ "$WIRE" = "1" ] && front="wire"
+echo "booting 3 nodes + router (client front: $front, nodes over wire)..." >&2
 NPIDS=()
 NODE_URLS=""
 WIRE_NODES=""
 for addr in "${NODES[@]}"; do
-  port="${addr##*:}"
-  wflag=()
-  if [ "$WIRE" = "1" ]; then
-    wflag=(-wire-listen "127.0.0.1:$((port + 1000))")
-    WIRE_NODES="$WIRE_NODES,127.0.0.1:$((port + 1000))"
-  fi
-  "$BIN/ssdkeeperd" -addr "$addr" -accel 20 -no-keeper \
-    ${wflag[@]+"${wflag[@]}"} 2>"$BIN/node-$port.log" &
-  NPIDS+=($!)
   NODE_URLS="$NODE_URLS,http://$addr"
+  WIRE_NODES="$WIRE_NODES,127.0.0.1:$((${addr##*:} + 1000))"
 done
 NODE_URLS="${NODE_URLS#,}"
 WIRE_NODES="${WIRE_NODES#,}"
+
+start_node() { # start_node <addr> <log> [extra flags...]
+  local addr="$1" log="$2"
+  shift 2
+  "$BIN/ssdkeeperd" -addr "$addr" -wire-listen "127.0.0.1:$((${addr##*:} + 1000))" \
+    -accel 20 -no-keeper "$@" 2>"$log" &
+  NPIDS+=($!)
+}
+
+for addr in "${NODES[@]}"; do
+  start_node "$addr" "$BIN/node-${addr##*:}.log"
+done
 for addr in "${NODES[@]}"; do
   wait_ready "http://$addr" "$BIN/node-${addr##*:}.log"
 done
 
+# The client front: router flags and keeperload's target.
 rflag=()
+LOADFRONT=(-addr "$ROUTER")
 if [ "$WIRE" = "1" ]; then
-  rflag=(-wire-nodes "$WIRE_NODES" -wire-listen "127.0.0.1:$((RPORT + 1000))")
+  rflag=(-wire-listen "127.0.0.1:$((RPORT + 1000))")
+  LOADFRONT=(-wire -addr "127.0.0.1:$((RPORT + 1000))")
 fi
-"$BIN/keeperfleet" -addr "127.0.0.1:$RPORT" -nodes "$NODE_URLS" \
+"$BIN/keeperfleet" -addr "127.0.0.1:$RPORT" -nodes "$NODE_URLS" -wire-nodes "$WIRE_NODES" \
   ${rflag[@]+"${rflag[@]}"} 2>"$BIN/router.log" &
 RPID=$!
 wait_ready "$ROUTER" "$BIN/router.log"
@@ -114,14 +122,9 @@ grep -q "\"0\":\"$SRC\"" "$BIN/status0.json" \
   || fail "tenant 0 not on $SRC at boot: $(cat "$BIN/status0.json")"
 grep -q "$DST" "$BIN/status0.json" || fail "$DST missing from status"
 
-echo "driving load through the router ($plane), migrating tenant 0 mid-flight..." >&2
-if [ "$WIRE" = "1" ]; then
-  "$BIN/keeperload" -wire -addr "127.0.0.1:$((RPORT + 1000))" -n 3000 -concurrency 32 \
-    -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load.json" &
-else
-  "$BIN/keeperload" -addr "$ROUTER" -n 3000 -concurrency 32 \
-    -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load.json" &
-fi
+echo "driving load through the router ($front front), migrating tenant 0 mid-flight..." >&2
+"$BIN/keeperload" "${LOADFRONT[@]}" -n 3000 -concurrency 32 \
+  -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/load.json" &
 LPID=$!
 sleep 1
 
@@ -173,7 +176,7 @@ for i in "${!NPIDS[@]}"; do
     || fail "node ${NODES[$i]}: no clean-drain report in log"
 done
 
-echo "smoke_fleet.sh: migration checks passed over $plane ($ok ok, $rejected rejected in the handoff window, $done_migs migration)" >&2
+echo "smoke_fleet.sh: migration checks passed over the $front front ($ok ok, $rejected rejected in the handoff window, $done_migs migration)" >&2
 
 ############################################################################
 # Health phase: the same golden topology, but the tenant-0 owner (:8082)
@@ -191,14 +194,11 @@ EOF
 
 NPIDS=()
 for addr in "${NODES[@]}"; do
-  port="${addr##*:}"
   hflag=()
   if [ "http://$addr" = "$SRC" ]; then
     hflag=(-fault-plan "$BIN/faults.plan" -audit-every 250ms -degraded-score 0.95)
   fi
-  "$BIN/ssdkeeperd" -addr "$addr" -accel 20 -no-keeper \
-    ${hflag[@]+"${hflag[@]}"} 2>"$BIN/health-node-$port.log" &
-  NPIDS+=($!)
+  start_node "$addr" "$BIN/health-node-${addr##*:}.log" ${hflag[@]+"${hflag[@]}"}
 done
 for addr in "${NODES[@]}"; do
   wait_ready "http://$addr" "$BIN/health-node-${addr##*:}.log"
@@ -207,14 +207,14 @@ done
 # -hot-factor 100 mutes the hotspot path (the :8082 node owns 3 of 4
 # tenants and would always read as hot): the only migration the health
 # phase can produce is the quarantine evacuation.
-"$BIN/keeperfleet" -addr "127.0.0.1:$RPORT" -nodes "$NODE_URLS" \
-  -rebalance -probe-every 300ms -rebalance-every 300ms -hot-factor 100 \
+"$BIN/keeperfleet" -addr "127.0.0.1:$RPORT" -nodes "$NODE_URLS" -wire-nodes "$WIRE_NODES" \
+  ${rflag[@]+"${rflag[@]}"} -rebalance -probe-every 300ms -rebalance-every 300ms -hot-factor 100 \
   2>"$BIN/health-router.log" &
 RPID=$!
 wait_ready "$ROUTER" "$BIN/health-router.log"
 
 echo "driving load through the die failure..." >&2
-"$BIN/keeperload" -addr "$ROUTER" -n 30000 -concurrency 32 \
+"$BIN/keeperload" "${LOADFRONT[@]}" -n 30000 -concurrency 32 \
   -write-ratios 0.9,0.1,0.8,0.2 -json > "$BIN/health-load.json" &
 LPID=$!
 
@@ -264,4 +264,4 @@ for i in "${!NPIDS[@]}"; do
     || fail "node ${NODES[$i]}: no clean-drain report in log"
 done
 
-echo "smoke_fleet.sh: all checks passed over $plane ($ok ok through the die failure, $qmigs quarantine migration)" >&2
+echo "smoke_fleet.sh: all checks passed over the $front front ($ok ok through the die failure, $qmigs quarantine migration)" >&2
